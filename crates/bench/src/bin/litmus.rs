@@ -21,8 +21,9 @@
 //! then exits 1 (exit 0 means every run was clean). `--out DIR`
 //! additionally writes one reproducer file per failure for CI artifact
 //! upload. `--mutation-smoke` proves the detection pipeline end to end:
-//! it arms the seeded dropped-invalidation fault and fails unless the
-//! checker catches it (and unless the unmutated program passes).
+//! it arms each seeded fault (dropped invalidation, smuggled priority ack,
+//! re-armed link race) and fails unless the checker catches it (and unless
+//! the unmutated program passes).
 
 use commsense_bench::harness::json_str;
 use commsense_machine::Mechanism;
@@ -52,8 +53,8 @@ usage: litmus [--programs N] [--seed S] [--mech LABEL|all] [--config NAME|all]
   --nodes     machine size; must keep the 2x2 mesh of the tiny config (default 4)
   --out       write one reproducer file per failure into DIR (for CI artifacts)
   --program   replay a single program index instead of fuzzing
-  --mutation-smoke  verify the checker catches both seeded faults (a dropped
-              invalidation and a smuggled high-priority ack)
+  --mutation-smoke  verify the checker catches every seeded fault (a dropped
+              invalidation, a smuggled high-priority ack, a re-armed link race)
 exit status: 0 clean, 1 failures found (each preceded by a LITMUS-FAIL line), 2 bad usage";
 
 fn parse_args() -> Opts {
@@ -186,12 +187,12 @@ fn report_failure(f: &FuzzFailure, out: Option<&str>) {
     }
 }
 
-/// One leg of the detection gate: under `extreme`, the unmutated witness
-/// program must pass and the armed `fault` must die as an invariant
-/// violation.
-fn mutation_gate(extreme: Extreme, fault: Fault, what: &str) {
+/// One leg of the detection gate: under `mech` and `extreme`, the
+/// unmutated witness program must pass and the armed `fault` must die as
+/// an invariant violation.
+fn mutation_gate(mech: Mechanism, extreme: Extreme, fault: Fault, what: &str) {
     let lit = Litmus::directed_invalidation(4);
-    if let Err(f) = litmus::run_litmus(&lit, Mechanism::SharedMem, extreme) {
+    if let Err(f) = litmus::run_litmus(&lit, mech, extreme) {
         eprintln!(
             "LITMUS-FAIL {{\"class\":{},\"detail\":{}}}",
             json_str("mutation-smoke"),
@@ -203,7 +204,7 @@ fn mutation_gate(extreme: Extreme, fault: Fault, what: &str) {
         );
         std::process::exit(1);
     }
-    match litmus::run_litmus_with(&lit, Mechanism::SharedMem, extreme, fault) {
+    match litmus::run_litmus_with(&lit, mech, extreme, fault) {
         Err(f) if f.class == FailureClass::Invariant => {
             println!("mutation-smoke: {what} caught by the checker");
             println!("  {}", f.detail.lines().next().unwrap_or(""));
@@ -230,21 +231,31 @@ fn mutation_gate(extreme: Extreme, fault: Fault, what: &str) {
     }
 }
 
-/// End-to-end detection gate: both seeded mutations must be caught as
-/// invariant violations, and the witness program must pass unmutated.
+/// End-to-end detection gate: every seeded mutation must be caught as an
+/// invariant violation, and the witness program must pass unmutated.
 /// The dropped invalidation exercises the directory/cache consistency
 /// check under the baseline variant; the smuggled high-priority ack
-/// exercises message conservation under the criticality-aware variant.
+/// exercises message conservation under the criticality-aware variant;
+/// the re-armed link race exercises link exclusivity on the witness's
+/// message-passing traffic.
 fn mutation_smoke() {
     mutation_gate(
+        Mechanism::SharedMem,
         Extreme::Base,
         Fault::DropInvalidation,
         "dropped invalidation",
     );
     mutation_gate(
+        Mechanism::SharedMem,
         Extreme::Critical,
         Fault::SmugglePriorityAck,
         "smuggled priority ack",
+    );
+    mutation_gate(
+        Mechanism::MsgPoll,
+        Extreme::Base,
+        Fault::LinkRace,
+        "re-armed link race",
     );
 }
 

@@ -117,8 +117,8 @@ usage: repro [WHAT] [--paper|--small] [--csv DIR] [--jobs N] [--check] [--store 
   --out      perf: write the machine-readable report here (default BENCH.json)
   --baseline perf: a previous report; record its numbers and the speedup
   --reps     perf: repetitions per mechanism, fastest kept (default 5)
-  --gate     perf: fail (exit 1) if events/sec drops more than PCT percent
-             below the --baseline report; analyze: fail if the worst
+  --gate     perf: fail (exit 1) if total wall seconds rise more than PCT
+             percent above the --baseline report; analyze: fail if the worst
              predicted-vs-simulated relative error exceeds PCT percent
              (needs --latency-sweep)
   --nodes    perf: also measure a scaled config with N nodes (extra JSON

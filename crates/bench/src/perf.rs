@@ -82,17 +82,6 @@ pub struct BaselineRun {
     pub wall_secs: f64,
 }
 
-impl BaselineRun {
-    /// Events per host wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// A full perf-harness report: the fixed workload under every mechanism.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
@@ -420,52 +409,52 @@ pub fn parse_baseline(json: &str) -> Option<PerfBaseline> {
     })
 }
 
-/// The CI perf-regression gate: passes when the report's aggregate
-/// events/sec is no more than `max_drop_pct` percent below the baseline's.
-/// Returns a one-line verdict on pass; on failure the `Err` verdict also
-/// carries a per-mechanism breakdown (current vs baseline events/sec, when
-/// the baseline recorded its runs), so the failing CI log names the
-/// mechanism that regressed instead of just the aggregate.
+/// The CI perf-regression gate: passes when the report's total wall
+/// seconds are no more than `max_rise_pct` percent above the baseline's.
+///
+/// Wall time, not events/sec, is the quantity a user waits on: a change
+/// that removes redundant events lowers events/sec while making every run
+/// faster, and an events/sec gate would reject it. Returns a one-line
+/// verdict on pass; on failure the `Err` verdict also carries a
+/// per-mechanism breakdown (current vs baseline wall seconds, when the
+/// baseline recorded its runs), so the failing CI log names the mechanism
+/// that regressed instead of just the total.
 pub fn check_gate(
     report: &PerfReport,
     baseline: &PerfBaseline,
-    max_drop_pct: f64,
+    max_rise_pct: f64,
 ) -> Result<String, String> {
-    if baseline.events_per_sec <= 0.0 {
-        return Err("baseline events/sec is zero — cannot gate".to_string());
+    if baseline.total_wall_secs <= 0.0 {
+        return Err("baseline total wall time is zero — cannot gate".to_string());
     }
-    let current = report.events_per_sec();
-    let floor = baseline.events_per_sec * (1.0 - max_drop_pct / 100.0);
-    let delta_pct = (current / baseline.events_per_sec - 1.0) * 100.0;
+    let current = report.total_wall_secs();
+    let ceiling = baseline.total_wall_secs * (1.0 + max_rise_pct / 100.0);
+    let delta_pct = (current / baseline.total_wall_secs - 1.0) * 100.0;
     let line = format!(
-        "perf gate: {current:.0} events/sec vs baseline {:.0} ({delta_pct:+.1}%, \
-         floor {floor:.0} at -{max_drop_pct}%)",
-        baseline.events_per_sec
+        "perf gate: {current:.4}s total wall vs baseline {:.4}s ({delta_pct:+.1}%, \
+         ceiling {ceiling:.4}s at +{max_rise_pct}%)",
+        baseline.total_wall_secs
     );
-    if current >= floor {
+    if current <= ceiling {
         return Ok(line);
     }
     let mut out = line;
     if baseline.runs.is_empty() {
         out.push_str("\n  (aggregate-only baseline: no per-mechanism breakdown)");
     } else {
-        out.push_str("\n  per-mechanism breakdown (current vs baseline events/sec):");
+        out.push_str("\n  per-mechanism breakdown (current vs baseline wall seconds):");
         for r in &report.runs {
             match baseline.runs.iter().find(|b| b.mechanism == r.mechanism) {
-                Some(b) if b.events_per_sec() > 0.0 => {
-                    let d = (r.events_per_sec() / b.events_per_sec() - 1.0) * 100.0;
+                Some(b) if b.wall_secs > 0.0 => {
+                    let d = (r.wall_secs / b.wall_secs - 1.0) * 100.0;
                     out.push_str(&format!(
-                        "\n    {:<8} {:>12.0} vs {:>12.0} ({d:+.1}%)",
-                        r.mechanism,
-                        r.events_per_sec(),
-                        b.events_per_sec(),
+                        "\n    {:<8} {:>10.4} vs {:>10.4} ({d:+.1}%)",
+                        r.mechanism, r.wall_secs, b.wall_secs,
                     ));
                 }
                 _ => out.push_str(&format!(
-                    "\n    {:<8} {:>12.0} vs {:>12} (not in baseline)",
-                    r.mechanism,
-                    r.events_per_sec(),
-                    "-",
+                    "\n    {:<8} {:>10.4} vs {:>10} (not in baseline)",
+                    r.mechanism, r.wall_secs, "-",
                 )),
             }
         }
@@ -505,9 +494,10 @@ pub fn perf_text(report: &PerfReport, baseline: Option<&PerfBaseline>) -> String
     ));
     if let Some(b) = baseline {
         out.push_str(&format!(
-            "baseline: {:.0} events/sec -> speedup {:.2}x\n",
+            "baseline: {:.3}s, {:.0} events/sec -> wall speedup {:.2}x\n",
+            b.total_wall_secs,
             b.events_per_sec,
-            report.events_per_sec() / b.events_per_sec
+            b.total_wall_secs / report.total_wall_secs()
         ));
     }
     out
@@ -592,14 +582,14 @@ mod tests {
 
     #[test]
     fn gate_passes_within_tolerance_and_fails_beyond() {
-        let r = fake_report(); // 2000 events/sec
+        let r = fake_report(); // 0.4 s total wall
         let fast = PerfBaseline {
             total_events: 800,
-            total_wall_secs: 0.36,
+            total_wall_secs: 0.365,
             events_per_sec: 2200.0,
             runs: Vec::new(),
         };
-        // 2000 vs 2200 is a 9.1% drop: inside a 10% gate, outside a 5% one.
+        // 0.4 s vs 0.365 s is a 9.6% rise: inside a 10% gate, outside a 5% one.
         assert!(check_gate(&r, &fast, 10.0).is_ok());
         assert!(check_gate(&r, &fast, 5.0).is_err());
         let zero = PerfBaseline {
@@ -609,6 +599,26 @@ mod tests {
             runs: Vec::new(),
         };
         assert!(check_gate(&r, &zero, 10.0).is_err());
+    }
+
+    #[test]
+    fn gate_accepts_fewer_events_in_less_wall_time() {
+        // A change that drops a third of the events and a sixth of the wall
+        // time lowers events/sec by ~20%: the wall-time gate must pass it.
+        let base = fake_report().as_baseline();
+        let mut faster = fake_report();
+        for run in &mut faster.runs {
+            run.events = run.events * 2 / 3;
+            run.wall_secs *= 5.0 / 6.0;
+        }
+        assert!(faster.events_per_sec() < 0.85 * base.events_per_sec);
+        assert!(check_gate(&faster, &base, 10.0).is_ok());
+        // The same events in 20% more wall time (a planted slowdown) fails.
+        let mut slower = fake_report();
+        for run in &mut slower.runs {
+            run.wall_secs *= 1.2;
+        }
+        assert!(check_gate(&slower, &base, 10.0).is_err());
     }
 
     #[test]
@@ -629,12 +639,12 @@ mod tests {
         assert_eq!(b.runs[0].mechanism, "sm");
         assert_eq!(b.runs[0].events, 500);
         assert_eq!(b, r.as_baseline());
-        // A failing gate names each mechanism with current vs baseline rates.
+        // A failing gate names each mechanism with current vs baseline times.
         let fast = PerfBaseline {
-            events_per_sec: 4000.0,
+            total_wall_secs: 0.2,
             ..r.as_baseline()
         };
-        let err = check_gate(&r, &fast, 10.0).expect_err("50% drop fails");
+        let err = check_gate(&r, &fast, 10.0).expect_err("doubled wall time fails");
         assert!(err.contains("per-mechanism breakdown"), "{err}");
         assert!(err.contains("sm"), "{err}");
         assert!(err.contains("mp-poll"), "{err}");

@@ -313,12 +313,13 @@ impl Default for ObserveConfig {
 /// invariants after every coherence transition (single writer / multiple
 /// readers, directory/cache consistency, no lost invalidations), tracks
 /// message-channel conservation against the network recorder's packet ids,
-/// and — when [`CheckConfig::oracle`] is set — records the applied
-/// load/store stream and verifies it against a sequential-consistency
-/// oracle at the end of the run. Checking is pure bookkeeping plus
-/// assertions: it never schedules events, so simulated cycle counts are
-/// bit-identical with and without it. Violations panic with a
-/// machine-readable `PROTOCOL-INVARIANT` / `SC-ORACLE` marker.
+/// checks that no two hops ever overlap on one network link, and — when
+/// [`CheckConfig::oracle`] is set — records the applied load/store stream
+/// and verifies it against a sequential-consistency oracle at the end of
+/// the run. Checking is pure bookkeeping plus assertions: it never
+/// schedules events, so simulated cycle counts are bit-identical with and
+/// without it. Violations panic with a machine-readable
+/// `PROTOCOL-INVARIANT` / `SC-ORACLE` marker.
 ///
 /// # Examples
 ///

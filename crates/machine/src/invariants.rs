@@ -18,6 +18,11 @@
 //!   `mesh::recorder` packet ids: no duplicated deliveries, no packets the
 //!   network delivered that the machine never consumed, and at the end of
 //!   the run `injected = consumed + in-flight envelopes`.
+//! * **Link exclusivity** — hop intervals on a link never overlap: no hop
+//!   starts before the link's previous hop finished serializing. The
+//!   `mesh::recorder` checks every hop (recorded packet or not) against
+//!   its link's latest end, so a double-booked wire — which silently
+//!   under-models the contention Figures 7/8 measure — fails the run.
 //!
 //! Checking is bookkeeping plus assertions only — it never schedules
 //! events or feeds any time computation, so simulated cycle counts are
@@ -27,7 +32,7 @@
 //! binaries turn into machine-readable failure summaries.
 
 use commsense_cache::{LineId, Protocol};
-use commsense_mesh::{Endpoint, PacketClass, PacketRecord, NO_RECORD};
+use commsense_mesh::{Endpoint, LinkOverlap, PacketClass, PacketRecord, NO_RECORD};
 
 use crate::config::CheckConfig;
 
@@ -111,6 +116,21 @@ impl Checker {
     /// Number of coherence transitions checked so far.
     pub(crate) fn transitions(&self) -> u64 {
         self.transitions
+    }
+
+    /// End-of-run link-exclusivity check: `overlaps` is the recorder's
+    /// count of hops that started on a still-busy link, `first` the first
+    /// of them.
+    pub(crate) fn check_link_exclusivity(&self, overlaps: u64, first: Option<LinkOverlap>) {
+        if let Some(o) = first {
+            violate(&format!(
+                "link exclusivity: {overlaps} hop(s) started on a busy link; first on \
+                 link {} at {}ps while busy until {}ps",
+                o.link,
+                o.start.as_ps(),
+                o.busy_until.as_ps()
+            ));
+        }
     }
 
     /// End-of-run conservation check. `live_envelopes` is the number of

@@ -920,6 +920,7 @@ impl Machine {
         }
         if let Some(ch) = self.checker.as_ref() {
             ch.final_check(self.net_live, self.net.peek_recording());
+            ch.check_link_exclusivity(self.net.link_overlaps(), self.net.first_link_overlap());
         }
         if let Some(o) = self.oracle.as_ref() {
             if let Err(e) = crate::oracle::verify(o, self.cfg.write_buffer > 0) {
@@ -1685,6 +1686,15 @@ impl Machine {
     #[doc(hidden)]
     pub fn fault_smuggle_next_priority_ack(&mut self) {
         self.fault_smuggle_ack = true;
+    }
+
+    /// Test hook: re-arms the network's same-instant link race — a packet
+    /// arriving at a link as it frees takes it despite queued waiters, so
+    /// two packets serialize on one wire at once. The link-exclusivity
+    /// final check must then fail loudly.
+    #[doc(hidden)]
+    pub fn fault_ignore_link_waiters(&mut self) {
+        self.net.fault_ignore_link_waiters();
     }
 
     fn hit_cost(&self, op: MemOp) -> u64 {

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use commsense_des::Time;
 
 use crate::packet::{Endpoint, Packet, Priority};
-use crate::recorder::{NetRecorder, NetRecording, NO_RECORD};
+use crate::recorder::{LinkOverlap, NetRecorder, NetRecording, NO_RECORD};
 use crate::stats::NetStats;
 use crate::topology::{Topo, TopoSpec};
 
@@ -83,7 +83,11 @@ pub enum NetEvent {
         /// In-flight packet index.
         pkt: u32,
     },
-    /// A link finished serializing a packet and may start a waiter.
+    /// A link finished serializing and a packet is waiting for it: start
+    /// the next waiter. Armed only while waiters exist — once, at the
+    /// link's `busy_until`, when the first packet queues on an empty
+    /// queue, then re-armed by its own handler while packets still wait —
+    /// so a hop nobody waits behind costs no event.
     LinkFree {
         /// Link id.
         link: u32,
@@ -138,6 +142,14 @@ struct LinkState {
     hi_waiters: VecDeque<u32>,
 }
 
+impl LinkState {
+    /// Whether any packet (either class) is queued; exactly when a
+    /// [`NetEvent::LinkFree`] for this link is pending.
+    fn has_waiters(&self) -> bool {
+        !self.waiters.is_empty() || !self.hi_waiters.is_empty()
+    }
+}
+
 /// The interconnect network simulator.
 ///
 /// The network is driven by an external event loop: [`Network::inject`] and
@@ -167,6 +179,9 @@ pub struct Network {
     /// and the network struct stays small). Pure bookkeeping — never
     /// consulted for any time computation.
     recorder: Option<Box<NetRecorder>>,
+    /// Seeded mutation for the correctness harness's own tests: arrivals
+    /// ignore queued waiters (see [`Network::fault_ignore_link_waiters`]).
+    fault_ignore_waiters: bool,
 }
 
 impl Network {
@@ -192,6 +207,7 @@ impl Network {
             starved: vec![0; num_links],
             stats: NetStats::new(),
             recorder: None,
+            fault_ignore_waiters: false,
         }
     }
 
@@ -222,6 +238,29 @@ impl Network {
     /// conservation against the recorder's delivery log.
     pub fn peek_recording(&self) -> Option<&[crate::recorder::PacketRecord]> {
         self.recorder.as_ref().map(|r| r.packets())
+    }
+
+    /// Hops that started on a link before the link's previous hop had
+    /// finished serializing (two packets on one wire at once). Always 0
+    /// for a correct network; requires recording (0 otherwise).
+    pub fn link_overlaps(&self) -> u64 {
+        self.recorder.as_ref().map_or(0, |r| r.link_overlaps())
+    }
+
+    /// The first overlapping hop [`Network::link_overlaps`] counted.
+    pub fn first_link_overlap(&self) -> Option<LinkOverlap> {
+        self.recorder.as_ref().and_then(|r| r.first_link_overlap())
+    }
+
+    /// Seeded mutation (never enabled by any configuration): re-arms the
+    /// same-instant arbitration race, in which a packet arriving at a link
+    /// whose `busy_until` is now takes the link even though packets are
+    /// queued for it — and the pending `LinkFree` then starts the head
+    /// waiter on the same wire. The link-exclusivity invariant must catch
+    /// the double-booking.
+    #[doc(hidden)]
+    pub fn fault_ignore_link_waiters(&mut self) {
+        self.fault_ignore_waiters = true;
     }
 
     /// Number of unidirectional links in the topology.
@@ -361,28 +400,7 @@ impl Network {
                 None
             }
             NetEvent::LinkFree { link } => {
-                let link = link as usize;
-                let state = &mut self.links[link];
-                let next = match state.hi_waiters.pop_front() {
-                    Some(pkt) => {
-                        // A high-priority packet jumps every queued
-                        // low-priority packet: count the bypasses.
-                        let bypassed = state.waiters.len() as u64;
-                        if bypassed > 0 {
-                            self.starved[link] += bypassed;
-                            self.stats.priority_bypasses += 1;
-                            self.stats.low_bypassed += bypassed;
-                        }
-                        Some(pkt)
-                    }
-                    None => state.waiters.pop_front(),
-                };
-                if let Some(pkt) = next {
-                    let flight = self.flights[pkt as usize].as_ref().expect("waiter exists");
-                    let waited = now.saturating_sub(flight.head_ready_at);
-                    self.stats.link_wait_sum += waited;
-                    self.start_hop(now, pkt, sched);
-                }
+                self.link_free(now, link, sched);
                 None
             }
             NetEvent::Deliver { pkt } => self.deliver(now, pkt),
@@ -397,14 +415,57 @@ impl Network {
              local traffic never injects)"
         );
         let link = flight.route[flight.hop as usize] as usize;
-        if self.links[link].busy_until > now {
-            match flight.packet.priority {
-                Priority::High => self.links[link].hi_waiters.push_back(pkt),
-                Priority::Low => self.links[link].waiters.push_back(pkt),
+        let state = &mut self.links[link];
+        let waiting = state.has_waiters();
+        // Queue behind waiters as well as behind a busy link: at
+        // `busy_until == now` the pending LinkFree owns the link for the
+        // head waiter, whichever of the two same-instant events runs first.
+        if state.busy_until > now || (waiting && !self.fault_ignore_waiters) {
+            if !waiting {
+                sched(state.busy_until, NetEvent::LinkFree { link: link as u32 });
             }
+            match flight.packet.priority {
+                Priority::High => state.hi_waiters.push_back(pkt),
+                Priority::Low => state.waiters.push_back(pkt),
+            }
+            self.stats.queued_hops += 1;
         } else {
             self.start_hop(now, pkt, sched);
         }
+    }
+
+    /// Starts the next waiter on `link` (high priority first), re-arming
+    /// LinkFree at the new `busy_until` while packets still wait.
+    fn link_free(&mut self, now: Time, link: u32, sched: &mut impl FnMut(Time, NetEvent)) {
+        let l = link as usize;
+        let state = &mut self.links[l];
+        let pkt = match state.hi_waiters.pop_front() {
+            Some(pkt) => {
+                // A high-priority packet jumps every queued low-priority
+                // packet: count the bypasses.
+                let bypassed = state.waiters.len() as u64;
+                if bypassed > 0 {
+                    self.starved[l] += bypassed;
+                    self.stats.priority_bypasses += 1;
+                    self.stats.low_bypassed += bypassed;
+                }
+                pkt
+            }
+            None => state
+                .waiters
+                .pop_front()
+                .expect("LinkFree is armed only while packets wait"),
+        };
+        let flight = self.flights[pkt as usize].as_ref().expect("waiter exists");
+        self.stats.link_wait_sum += now.saturating_sub(flight.head_ready_at);
+        // Re-arm before the started hop schedules its own follow-up events:
+        // the position in the instant's FIFO a LinkFree scheduled by every
+        // hop would take.
+        if self.links[l].has_waiters() {
+            let ser = self.serialize_time(flight.packet.wire_bytes());
+            sched(now + ser, NetEvent::LinkFree { link });
+        }
+        self.start_hop(now, pkt, sched);
     }
 
     fn start_hop(&mut self, now: Time, pkt: u32, sched: &mut impl FnMut(Time, NetEvent)) {
@@ -433,7 +494,6 @@ impl Network {
             r.on_hop(rec, link, enqueued, now, now + ser);
         }
         self.links[link].busy_until = now + ser;
-        sched(now + ser, NetEvent::LinkFree { link: link as u32 });
         if self.crosses[link] {
             self.stats.bisection.record(class, hdr, pay);
         }

@@ -68,6 +68,19 @@ impl HopRecord {
     }
 }
 
+/// A hop that started on a link before the link's previous hop had
+/// finished serializing: two packets on one wire at once. A correct
+/// network never produces one (the link-exclusivity invariant).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LinkOverlap {
+    /// Dense link id.
+    pub link: u32,
+    /// When the link's earlier hop finishes serializing.
+    pub busy_until: Time,
+    /// When the overlapping hop started (before `busy_until`).
+    pub start: Time,
+}
+
 /// The live recorder owned by the network while a run executes.
 #[derive(Debug)]
 pub(crate) struct NetRecorder {
@@ -76,6 +89,10 @@ pub(crate) struct NetRecorder {
     hops: Vec<HopRecord>,
     dropped_packets: u64,
     link_busy: Vec<Time>,
+    /// Per-link end of the latest hop, for the link-exclusivity check.
+    link_end: Vec<Time>,
+    overlaps: u64,
+    first_overlap: Option<LinkOverlap>,
     last_id: u32,
 }
 
@@ -89,6 +106,9 @@ impl NetRecorder {
             hops: Vec::new(),
             dropped_packets: 0,
             link_busy: vec![Time::ZERO; links],
+            link_end: vec![Time::ZERO; links],
+            overlaps: 0,
+            first_overlap: None,
             last_id: NO_RECORD,
         }
     }
@@ -118,9 +138,20 @@ impl NetRecorder {
     /// packet (utilization counts all traffic), while the per-hop record
     /// is kept only for packets that made it into the table. `enqueued` is
     /// when the head requested the link; `start` is when the link actually
-    /// began serializing (later when the link was busy).
+    /// began serializing (later when the link was busy). Every hop, recorded
+    /// or not, is checked against the link's previous hop for overlap.
     pub(crate) fn on_hop(&mut self, rec: u32, link: usize, enqueued: Time, start: Time, end: Time) {
         self.link_busy[link] += end.saturating_sub(start);
+        let busy_until = self.link_end[link];
+        if start < busy_until {
+            self.overlaps += 1;
+            self.first_overlap.get_or_insert(LinkOverlap {
+                link: link as u32,
+                busy_until,
+                start,
+            });
+        }
+        self.link_end[link] = busy_until.max(end);
         if rec != NO_RECORD {
             self.hops.push(HopRecord {
                 packet: rec,
@@ -148,6 +179,14 @@ impl NetRecorder {
 
     pub(crate) fn link_busy(&self) -> &[Time] {
         &self.link_busy
+    }
+
+    pub(crate) fn link_overlaps(&self) -> u64 {
+        self.overlaps
+    }
+
+    pub(crate) fn first_link_overlap(&self) -> Option<LinkOverlap> {
+        self.first_overlap
     }
 
     pub(crate) fn into_recording(self) -> NetRecording {
@@ -226,5 +265,32 @@ mod tests {
         assert_eq!(hop.wire_time(), Time::from_ns(5));
         // Busy time counts wire occupancy only, never queueing.
         assert_eq!(rec.link_busy[1], Time::from_ns(5));
+    }
+
+    #[test]
+    fn overlapping_hops_on_one_link_are_counted() {
+        let mut r = NetRecorder::new(0, 2);
+        // Back to back on link 0, and a different link in between: fine.
+        r.on_hop(NO_RECORD, 0, Time::ZERO, Time::ZERO, Time::from_ns(4));
+        r.on_hop(NO_RECORD, 1, Time::ZERO, Time::from_ns(2), Time::from_ns(6));
+        r.on_hop(NO_RECORD, 0, Time::ZERO, Time::from_ns(4), Time::from_ns(8));
+        assert_eq!(r.link_overlaps(), 0);
+        // A hop starting on link 0 at 6ns, before its 8ns end: double-booked.
+        r.on_hop(
+            NO_RECORD,
+            0,
+            Time::from_ns(6),
+            Time::from_ns(6),
+            Time::from_ns(9),
+        );
+        assert_eq!(r.link_overlaps(), 1);
+        assert_eq!(
+            r.first_link_overlap(),
+            Some(LinkOverlap {
+                link: 0,
+                busy_until: Time::from_ns(8),
+                start: Time::from_ns(6),
+            })
+        );
     }
 }

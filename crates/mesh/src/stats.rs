@@ -71,6 +71,9 @@ pub struct NetStats {
     pub latency_max: Time,
     /// Total time packets spent queued waiting for busy links.
     pub link_wait_sum: Time,
+    /// Hops that queued for their link instead of starting on arrival;
+    /// each is started by exactly one `NetEvent::LinkFree`.
+    pub queued_hops: u64,
     /// Times a high-priority packet was served ahead of at least one queued
     /// low-priority packet (priority virtual channel; always 0 under the
     /// baseline variant).

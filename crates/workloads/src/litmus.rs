@@ -623,6 +623,13 @@ pub enum Fault {
     /// end-of-run message conservation must flag it. Dormant under the
     /// baseline variant, which sends no high-priority packets.
     SmugglePriorityAck,
+    /// Re-arm the network's same-instant link race: a packet arriving at a
+    /// link as it frees takes the wire despite queued waiters, and the
+    /// pending `LinkFree` starts the head waiter on it too — the
+    /// link-exclusivity check must flag the overlapping hops. Dormant
+    /// unless traffic queues on a link at the instant another packet
+    /// arrives, which the cross-traffic extremes provide.
+    LinkRace,
 }
 
 /// Runs one litmus program on one mechanism under one extreme with the
@@ -650,6 +657,7 @@ pub fn run_litmus_with(
             Fault::None => {}
             Fault::DropInvalidation => m.fault_ignore_next_invalidation(),
             Fault::SmugglePriorityAck => m.fault_smuggle_next_priority_ack(),
+            Fault::LinkRace => m.fault_ignore_link_waiters(),
         }
         m.run();
     })) {
@@ -905,6 +913,22 @@ mod tests {
             Fault::SmugglePriorityAck,
         )
         .is_ok());
+    }
+
+    #[test]
+    fn link_race_is_caught_by_link_exclusivity() {
+        let lit = Litmus::directed_invalidation(4);
+        // The witness's message-passing barrier traffic queues on a link
+        // at the instant another packet reaches it.
+        assert!(run_litmus(&lit, Mechanism::MsgPoll, Extreme::Base).is_ok());
+        let fail = run_litmus_with(&lit, Mechanism::MsgPoll, Extreme::Base, Fault::LinkRace)
+            .expect_err("re-armed link race must be caught");
+        assert_eq!(fail.class, FailureClass::Invariant, "{}", fail.detail);
+        assert!(
+            fail.detail.contains("link exclusivity"),
+            "expected a link-exclusivity violation, got: {}",
+            fail.detail
+        );
     }
 
     #[test]
