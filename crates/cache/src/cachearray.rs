@@ -134,6 +134,32 @@ impl Cache {
         state
     }
 
+    /// Exactly `n` back-to-back [`Cache::access`] calls to one line with
+    /// nothing in between: the tick advances by `n`, a resident line's
+    /// LRU stamp becomes the final tick, and `n` hits (or misses) are
+    /// recorded. Returns the line's state if resident.
+    pub(crate) fn access_n(&mut self, line: LineId, n: u64) -> Option<LineState> {
+        if n == 0 {
+            return self.lookup(line);
+        }
+        self.tick += n;
+        let tick = self.tick;
+        let state = self
+            .set_slice_mut(line)
+            .iter_mut()
+            .flatten()
+            .find(|e| e.line == line)
+            .map(|e| {
+                e.used = tick;
+                e.state
+            });
+        match state {
+            Some(_) => self.hits += n,
+            None => self.misses += n,
+        }
+        state
+    }
+
     /// Returns the line's state if resident, without touching statistics
     /// or LRU.
     pub fn lookup(&self, line: LineId) -> Option<LineState> {
@@ -239,6 +265,27 @@ mod tests {
         c.fill(LineId(1), LineState::Shared);
         assert_eq!(c.access(LineId(1)), Some(LineState::Shared));
         assert_eq!(c.hit_miss(), (1, 1));
+    }
+
+    #[test]
+    fn access_n_matches_repeated_access() {
+        for ways in [1, 2] {
+            let mut one = Cache::set_associative(16, ways);
+            one.fill(LineId(1), LineState::Shared);
+            one.fill(LineId(9), LineState::Modified);
+            let mut bulk = one.clone();
+            for _ in 0..7 {
+                one.access(LineId(1));
+            }
+            for _ in 0..3 {
+                one.access(LineId(4));
+            }
+            bulk.access_n(LineId(1), 7);
+            bulk.access_n(LineId(4), 3);
+            assert_eq!(bulk.access_n(LineId(1), 0), Some(LineState::Shared));
+            // Tick, LRU stamps and hit/miss counters all agree.
+            assert_eq!(format!("{one:?}"), format!("{bulk:?}"));
+        }
     }
 
     #[test]

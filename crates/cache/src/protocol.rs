@@ -502,6 +502,23 @@ impl Protocol {
         self.caches[node].lookup(line).is_some() || self.prefetch[node].lookup(line).is_some()
     }
 
+    /// Whether `line` is resident in `node`'s cache (prefetch buffer
+    /// excluded): a read of it is a plain hit.
+    pub fn is_cached(&self, node: usize, line: LineId) -> bool {
+        self.caches[node].lookup(line).is_some()
+    }
+
+    /// Records `n` further read hits on a line resident in `node`'s cache,
+    /// exactly as `n` back-to-back [`Protocol::start_access`] reads of it
+    /// would (a read hit starts no transaction and emits nothing).
+    pub fn repeat_read_hits(&mut self, node: usize, line: LineId, n: u64) {
+        let state = self.caches[node].access_n(line, n);
+        debug_assert!(
+            state.is_some(),
+            "repeated hits on non-resident line {line:?}"
+        );
+    }
+
     /// Attempts a processor access, possibly starting a transaction.
     ///
     /// The caller must ensure at most one outstanding transaction per

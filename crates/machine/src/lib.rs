@@ -56,6 +56,6 @@ pub use critpath::{analyze, CritPath, Stage};
 pub use invariants::{INVARIANT_MARKER, ORACLE_MARKER};
 pub use machine::{DispatchKindProfile, DispatchProfile, Machine, MachineSpec};
 pub use metrics::{MetricsSeries, Observation, RunState};
-pub use program::{HandlerCtx, NodeCtx, Program, RmwOp, Step};
+pub use program::{HandlerCtx, NodeCtx, Program, RmwOp, SpinExit, Step};
 pub use stats::{Bucket, LatencyHistogram, NodeStats, RunStats};
 pub use trace::{Trace, TraceEvent, TraceKind};

@@ -15,7 +15,7 @@ use crate::config::{BarrierStyle, MachineConfig, ProtoVariant, ReceiveMode};
 use crate::invariants::{Checker, INVARIANT_MARKER, ORACLE_MARKER};
 use crate::metrics::{MetricsSeries, Observation, RunState};
 use crate::oracle::{OracleLog, OracleOp};
-use crate::program::{HandlerCtx, NodeCtx, Program, RmwOp, Step};
+use crate::program::{HandlerCtx, NodeCtx, Program, RmwOp, SpinExit, Step};
 use crate::stats::{Bucket, LatencyHistogram, NodeStats, RunStats};
 use crate::trace::{Trace, TraceKind};
 
@@ -320,6 +320,23 @@ struct Nodes {
     /// with their network lifecycle for the trace. Only populated while
     /// tracing (empty otherwise; drains fall back to [`NO_RECORD`]).
     rq_ids: Vec<VecDeque<u32>>,
+    /// The [`Step::SpinUntil`] each node is executing, if any. Empty until
+    /// the machine's first spin starts, so a machine whose programs never
+    /// spin allocates nothing for it.
+    spin: Vec<Option<Spin>>,
+}
+
+/// A [`Step::SpinUntil`] in progress. The machine expands it into the
+/// `SpinLoad`/`SpinWait` steps it stands for (see [`Machine::spin_step`]),
+/// so the program is not called again until the spin exits.
+#[derive(Debug, Clone, Copy)]
+struct Spin {
+    word: Word,
+    backoff: u64,
+    until: SpinExit,
+    /// The next action is a poll (else: check the last polled value, then
+    /// back off or exit).
+    poll_next: bool,
 }
 
 /// What a node does after its write buffer drains.
@@ -350,6 +367,7 @@ impl Nodes {
             fence: vec![None; n],
             handler_busy_until: vec![Time::ZERO; n],
             rq_ids: (0..n).map(|_| VecDeque::new()).collect(),
+            spin: Vec::new(),
         }
     }
 }
@@ -1903,14 +1921,19 @@ impl Machine {
         let mut t = self.now;
         let budget_end = t + self.cycles(BATCH_CYCLES);
         loop {
-            let mut ctx = NodeCtx {
-                node,
-                nodes: self.cfg.nodes,
-                loaded: self.nodes.loaded[node],
-                rmw: self.nodes.rmw[node],
-                now_cycles: self.clock.cycles_at(t),
+            let step = match self.spin_step(node) {
+                Some(step) => step,
+                None => {
+                    let mut ctx = NodeCtx {
+                        node,
+                        nodes: self.cfg.nodes,
+                        loaded: self.nodes.loaded[node],
+                        rmw: self.nodes.rmw[node],
+                        now_cycles: self.clock.cycles_at(t),
+                    };
+                    self.programs[node].resume(&mut ctx)
+                }
             };
-            let step = self.programs[node].resume(&mut ctx);
             match step {
                 Step::Compute(c) => {
                     let c = c.max(1);
@@ -1933,6 +1956,27 @@ impl Machine {
                     if !self.demand_step_bucketed(node, op, &mut t, Bucket::Sync) {
                         return;
                     }
+                    if self.replay_spin(node, t, budget_end) {
+                        return;
+                    }
+                }
+                Step::SpinUntil {
+                    word,
+                    backoff,
+                    until,
+                } => {
+                    if self.nodes.spin.is_empty() {
+                        self.nodes.spin = vec![None; self.cfg.nodes];
+                    }
+                    // The spin's first poll follows at once: the step
+                    // itself takes no time, so no budget check here.
+                    self.nodes.spin[node] = Some(Spin {
+                        word,
+                        backoff,
+                        until,
+                        poll_next: true,
+                    });
+                    continue;
                 }
                 Step::Store(word, val) => {
                     let op = MemOp::Write { word, val };
@@ -2100,6 +2144,78 @@ impl Machine {
                 return;
             }
         }
+    }
+
+    /// The next primitive step of the node's active [`Step::SpinUntil`]:
+    /// a `SpinLoad` of the word, or — after checking the value the last
+    /// poll loaded — a `SpinWait` of the backoff. Returns `None` when no
+    /// spin is active or the last poll satisfied its exit, and the program
+    /// is to be resumed.
+    fn spin_step(&mut self, node: usize) -> Option<Step> {
+        let spin = self.nodes.spin.get_mut(node)?.as_mut()?;
+        if spin.poll_next {
+            spin.poll_next = false;
+            return Some(Step::SpinLoad(spin.word));
+        }
+        if spin.until.exits(self.nodes.loaded[node]) {
+            self.nodes.spin[node] = None;
+            return None;
+        }
+        spin.poll_next = true;
+        Some(Step::SpinWait(spin.backoff))
+    }
+
+    /// Batch replay of a spin. Called when a poll of the node's active
+    /// spin has just completed inline at `t`. Nothing but this node's own
+    /// steps runs until the batch ends, so if the polled line is resident
+    /// with no transaction outstanding and its value fails the exit, every
+    /// later poll of the batch is a plain hit that loads the same value.
+    /// The rest of the batch — backoffs and polls up to `budget_end`, with
+    /// the budget checked after each as the step loop does — is then
+    /// applied in one pass, and the node yields. Returns `false` (nothing
+    /// done) when the conditions do not hold.
+    fn replay_spin(&mut self, node: usize, t: Time, budget_end: Time) -> bool {
+        let Some(&Some(spin)) = self.nodes.spin.get(node) else {
+            return false;
+        };
+        let line = spin.word.line;
+        if spin.until.exits(self.nodes.loaded[node])
+            || self.outstanding.contains(node, line.0)
+            || !self.proto.is_cached(node, line)
+        {
+            return false;
+        }
+        let hit_t = self.cycles(self.cfg.costs.cache_hit);
+        let backoff_t = self.cycles(spin.backoff.max(1));
+        let mut polls = 0u64;
+        let mut end = t;
+        let mut poll_next = false;
+        while end < budget_end {
+            end += backoff_t;
+            if end >= budget_end {
+                poll_next = true;
+                break;
+            }
+            end += hit_t;
+            polls += 1;
+        }
+        if polls > 0 {
+            self.proto.repeat_read_hits(node, line, polls);
+            if self.oracle.is_some() {
+                let op = MemOp::Read {
+                    word: spin.word,
+                    sync: true,
+                };
+                for _ in 0..polls {
+                    let seq = self.next_seq(node);
+                    self.apply_user_op(node, op, seq);
+                }
+            }
+        }
+        self.charge(node, Bucket::Sync, end - t);
+        self.nodes.spin[node] = Some(Spin { poll_next, ..spin });
+        self.schedule_wake(node, end);
+        true
     }
 
     /// Executes a demand access inside the batch. Returns `false` if the

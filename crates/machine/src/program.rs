@@ -47,6 +47,24 @@ impl RmwOp {
     }
 }
 
+/// The exit condition of a [`Step::SpinUntil`], tested against each
+/// polled value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SpinExit {
+    /// Stop once the polled value is `<= x` (a presence counter that
+    /// counts down to zero).
+    AtMost(f64),
+}
+
+impl SpinExit {
+    /// Whether a poll that returned `loaded` ends the spin.
+    pub fn exits(self, loaded: f64) -> bool {
+        match self {
+            SpinExit::AtMost(x) => loaded <= x,
+        }
+    }
+}
+
 /// One abstract instruction of a node program.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
@@ -61,6 +79,24 @@ pub enum Step {
     SpinLoad(Word),
     /// Spin-wait backoff cycles, charged to synchronization time.
     SpinWait(u64),
+    /// Spin on a shared word until its value satisfies `until`.
+    ///
+    /// The meaning is exactly the step sequence `SpinLoad(word)`, then,
+    /// while `!until.exits(loaded)`, `SpinWait(backoff)` followed by
+    /// `SpinLoad(word)` again: every poll, backoff, cycle, event and
+    /// oracle record is the one that hand-written loop would produce.
+    /// The program is resumed once, after the satisfying poll, with that
+    /// value in [`NodeCtx::loaded`]. The machine runs the loop itself, so
+    /// a long spin costs no calls into the program.
+    SpinUntil {
+        /// The word polled.
+        word: Word,
+        /// Backoff cycles between polls (zero is clamped to one, as for
+        /// [`Step::SpinWait`]).
+        backoff: u64,
+        /// When the spin ends.
+        until: SpinExit,
+    },
     /// Store a value to a shared word.
     Store(Word, f64),
     /// Atomic read-modify-write on a line; results are available as
@@ -95,7 +131,8 @@ pub struct NodeCtx {
     /// Total nodes in the machine.
     pub nodes: usize,
     /// Value delivered by the last completed [`Step::Load`] /
-    /// [`Step::SpinLoad`].
+    /// [`Step::SpinLoad`] (or the satisfying poll of a
+    /// [`Step::SpinUntil`]).
     pub loaded: f64,
     /// `(w0, w1)` after the last completed [`Step::Rmw`].
     pub rmw: (f64, f64),
@@ -181,6 +218,14 @@ mod tests {
         assert_eq!(RmwOp::SubW0DecW1(2.0).apply(10.0, 3.0), (8.0, 2.0));
         assert_eq!(RmwOp::IncW0.apply(4.0, 0.0), (5.0, 0.0));
         assert_eq!(RmwOp::SetW0(7.0).apply(1.0, 1.0), (7.0, 1.0));
+    }
+
+    #[test]
+    fn spin_exit_at_most() {
+        let e = SpinExit::AtMost(0.0);
+        assert!(e.exits(0.0));
+        assert!(e.exits(-1.0));
+        assert!(!e.exits(1.0));
     }
 
     #[test]

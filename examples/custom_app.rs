@@ -20,6 +20,13 @@ const ROUNDS: usize = 200;
 /// Classic two-word shared-memory ping-pong: node 0 stores round `r` into
 /// `ping` and spins on `pong`; node 1 spins on `ping` and echoes into
 /// `pong`.
+///
+/// The spin is spelled out as `SpinLoad`/`SpinWait` steps because its exit
+/// test (`loaded == round`) is an equality. A spin on a counter that counts
+/// down to zero, like ICCG's presence counters, can instead return one
+/// `Step::SpinUntil { word, backoff, until: SpinExit::AtMost(0.0) }`: the
+/// machine then runs the poll/backoff loop itself, with the same cycles,
+/// and resumes the program once the exit holds.
 #[derive(PartialEq)]
 enum PingSt {
     /// Store this round's value.
